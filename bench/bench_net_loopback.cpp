@@ -13,7 +13,9 @@
 // epoch is granted by the registry CAS, so the numbers measure the
 // network edge (framing, epoll batching, dispatch, response path)
 // rather than distributed-election cost — which is exactly what this
-// bench exists to track. The sweep varies reactors (the multi-reactor
+// bench exists to track. The "rtt p50/p99 ms" columns are the client-
+// observed round trip of every request, submit to response, taken from
+// the bench's own samples. The sweep varies reactors (the multi-reactor
 // scaling story), connections, pipeline depth, and client stripes; the
 // acceptance row is 32 connections at the default depth on 4 reactors,
 // and multi_reactor_speedup reports the 4-reactor/1-reactor ratio
@@ -79,7 +81,9 @@ struct sweep_result {
   std::uint64_t pairs = 0;
   double pairs_per_s = 0.0;
   std::uint64_t lost = 0;  // acquires that did not win (must stay 0)
-  svc::service_report service_report;
+  /// Client-observed round trip of each request (submit to response).
+  double rtt_p50_ms = 0.0;
+  double rtt_p99_ms = 0.0;
   net::net_report net;
 };
 
@@ -106,11 +110,23 @@ sweep_result run_sweep(const sweep_row& row) {
 
   std::atomic<bool> go{false};
   std::atomic<std::uint64_t> lost{0};
+  std::vector<std::vector<double>> rtt_ms(
+      static_cast<std::size_t>(row.connections));
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(row.connections));
   for (int c = 0; c < row.connections; ++c) {
     threads.emplace_back([&, c] {
       net::client& client = *clients[static_cast<std::size_t>(c)];
+      std::vector<double>& rtts = rtt_ms[static_cast<std::size_t>(c)];
+      rtts.reserve(2 * static_cast<std::size_t>(row.rounds) *
+                   static_cast<std::size_t>(row.pipeline));
+      std::vector<std::chrono::steady_clock::time_point> sent(
+          static_cast<std::size_t>(row.pipeline));
+      const auto stamp_rtt = [&](std::size_t i) {
+        rtts.push_back(std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - sent[i])
+                           .count());
+      };
       std::vector<std::string> keys;
       std::vector<std::uint64_t> ids(static_cast<std::size_t>(row.pipeline));
       std::vector<std::uint64_t> epochs(
@@ -123,11 +139,13 @@ sweep_result run_sweep(const sweep_row& row) {
       for (int round = 0; round < row.rounds; ++round) {
         for (int p = 0; p < row.pipeline; ++p) {
           const auto i = static_cast<std::size_t>(p);
+          sent[i] = std::chrono::steady_clock::now();
           ids[i] = client.submit(net::wire::op::try_acquire, keys[i]);
         }
         for (int p = 0; p < row.pipeline; ++p) {
           const auto i = static_cast<std::size_t>(p);
           const auto r = client.take(ids[i]);
+          stamp_rtt(i);
           if (!r.has_value() || !r->won()) {
             lost.fetch_add(1, std::memory_order_relaxed);
             epochs[i] = ~0ull;
@@ -137,6 +155,7 @@ sweep_result run_sweep(const sweep_row& row) {
         }
         for (int p = 0; p < row.pipeline; ++p) {
           const auto i = static_cast<std::size_t>(p);
+          sent[i] = std::chrono::steady_clock::now();
           ids[i] = epochs[i] == ~0ull
                        ? 0
                        : client.submit(net::wire::op::release_fenced, keys[i],
@@ -144,7 +163,9 @@ sweep_result run_sweep(const sweep_row& row) {
         }
         for (int p = 0; p < row.pipeline; ++p) {
           const auto i = static_cast<std::size_t>(p);
-          if (ids[i] != 0) (void)client.take(ids[i]);
+          if (ids[i] == 0) continue;
+          (void)client.take(ids[i]);
+          stamp_rtt(i);
         }
       }
     });
@@ -162,8 +183,13 @@ sweep_result run_sweep(const sweep_row& row) {
                  static_cast<std::uint64_t>(row.pipeline);
   result.pairs_per_s = static_cast<double>(result.pairs) / seconds;
   result.lost = lost.load();
+  std::vector<double> all_rtt_ms;
+  for (const auto& rtts : rtt_ms) {
+    all_rtt_ms.insert(all_rtt_ms.end(), rtts.begin(), rtts.end());
+  }
+  result.rtt_p50_ms = bench::percentile(all_rtt_ms, 0.50);
+  result.rtt_p99_ms = bench::percentile(all_rtt_ms, 0.99);
   result.net = server.report();
-  result.service_report = service.report();
   clients.clear();
   server.stop();
   return result;
@@ -365,16 +391,8 @@ fanout_result run_fanout(int want_watchers, int rounds) {
   result.rounds = rounds;
   result.received = received;
   result.net = server.report();
-  if (!latencies_ms.empty()) {
-    std::sort(latencies_ms.begin(), latencies_ms.end());
-    const auto at = [&](double q) {
-      const auto idx = static_cast<std::size_t>(
-          q * static_cast<double>(latencies_ms.size() - 1));
-      return latencies_ms[idx];
-    };
-    result.p50_ms = at(0.50);
-    result.p99_ms = at(0.99);
-  }
+  result.p50_ms = bench::percentile(latencies_ms, 0.50);
+  result.p99_ms = bench::percentile(latencies_ms, 0.99);
   // Throughput over the whole run (both transitions pushed per round).
   result.events_per_s =
       static_cast<double>(2 * received) / std::max(seconds, 1e-9);
@@ -422,7 +440,7 @@ int main(int argc, char** argv) {
   };
 
   exp::table table({"reactors", "stripes", "conns", "pipeline", "pairs",
-                    "pairs/s", "p50 ms", "p99 ms", "writev",
+                    "pairs/s", "rtt p50 ms", "rtt p99 ms", "writev",
                     "frames/writev", "lost", "sec"});
   bench::json_emitter json("net_loopback");
   json.meta_field("smoke", smoke);
@@ -445,8 +463,8 @@ int main(int argc, char** argv) {
                    std::to_string(row.connections),
                    std::to_string(row.pipeline), std::to_string(result.pairs),
                    exp::fmt_int(result.pairs_per_s),
-                   exp::fmt(result.service_report.acquire_p50_ms, 3),
-                   exp::fmt(result.service_report.acquire_p99_ms, 3),
+                   exp::fmt(result.rtt_p50_ms, 3),
+                   exp::fmt(result.rtt_p99_ms, 3),
                    std::to_string(result.net.writev_calls),
                    exp::fmt(coalesce, 1), std::to_string(result.lost),
                    exp::fmt(result.seconds, 2)});

@@ -14,6 +14,10 @@
 //             now waits for one follower to append before the client
 //             is acked — the real price of surviving a primary crash.
 //
+// All three rows run the `adaptive` strategy: the sequential workload
+// never contends, so every grant is the registry CAS and the deltas
+// between rows measure replication, not protocol elections.
+//
 // The workload is sequential on purpose: each pair's latency is one
 // full commit path with nothing pipelined in front of it, so p50/p99
 // are commit-path latencies, not queueing artifacts. (Throughput under
@@ -111,6 +115,7 @@ struct cluster {
   void start_member(int i) {
     const auto idx = static_cast<std::size_t>(i);
     svc::service_config sc{.nodes = 4, .shards = 4};
+    sc.default_strategy = election::strategy_kind::adaptive;
     sc.record_commands = true;
     sc.session_id_base = static_cast<std::uint64_t>(i) << 24;
     services[idx] = std::make_unique<svc::service>(std::move(sc));
@@ -191,14 +196,6 @@ struct pair_stats {
   std::uint64_t lost = 0;  // pairs where the acquire did not win
 };
 
-double percentile(std::vector<double>& v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const auto idx = static_cast<std::size_t>(
-      p * static_cast<double>(v.size() - 1) + 0.5);
-  return v[std::min(idx, v.size() - 1)];
-}
-
 /// Drive `pairs` sequential acquire/release pairs over disjoint keys
 /// through `endpoints`. Every acquire is expected to win (keys are
 /// uncontended); a loss or connection error counts in `lost`.
@@ -239,8 +236,8 @@ pair_stats run_pairs(const std::string& endpoints, std::uint64_t pairs,
   stats.pairs_per_s =
       stats.seconds > 0 ? static_cast<double>(stats.pairs) / stats.seconds
                         : 0.0;
-  stats.p50_us = percentile(lat_us, 0.50);
-  stats.p99_us = percentile(lat_us, 0.99);
+  stats.p50_us = bench::percentile(lat_us, 0.50);
+  stats.p99_us = bench::percentile(lat_us, 0.99);
   std::printf(
       "[%s] %llu pairs in %.3fs — %.0f pairs/s, p50 %.1fus, p99 %.1fus, "
       "lost %llu\n",
@@ -283,6 +280,7 @@ int main(int argc, char** argv) {
   pair_stats plain;
   {
     svc::service_config sc{.nodes = 4, .shards = 4};
+    sc.default_strategy = election::strategy_kind::adaptive;
     svc::service service(std::move(sc));
     net::server_config nc;
     nc.bind_address = "127.0.0.1";
@@ -368,7 +366,7 @@ int main(int argc, char** argv) {
     }
     arr += "]";
     json.raw("failover_ms", arr);
-    json.field("failover_max_ms", percentile(failover_ms, 1.0));
+    json.field("failover_max_ms", bench::percentile(failover_ms, 1.0));
   }
 
   json.write();

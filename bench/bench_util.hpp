@@ -3,6 +3,7 @@
 // from DESIGN.md §3 and prints markdown tables that EXPERIMENTS.md embeds.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -196,6 +197,16 @@ class json_emitter {
   std::vector<std::pair<std::string, std::string>> meta_;
   std::vector<std::pair<std::string, std::string>> fields_;
 };
+
+/// Nearest-rank percentile (p in [0,1]) of `v`, which it sorts; 0 when
+/// empty.
+inline double percentile(std::vector<double>& v, double p) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const auto idx = static_cast<std::size_t>(
+      p * static_cast<double>(v.size() - 1) + 0.5);
+  return v[std::min(idx, v.size() - 1)];
+}
 
 class stopwatch {
  public:

@@ -1,11 +1,12 @@
 // Standalone election server: the svc::service behind the elect::net
 // TCP front-end, as a runnable binary. This is what "remote" examples
-// and real clients talk to.
+// and real clients talk to. Each command below is one shell line,
+// wrapped here for width.
 //
 //   ./build/examples/elect_server --port 7400
-//   ./build/examples/elect_server --port 7400 --nodes 8 --shards 8 \
+//   ./build/examples/elect_server --port 7400 --nodes 8 --shards 8
 //       --ttl-ms 5000 --strategy adaptive
-//   ./build/examples/elect_server --port 7400 --http-port 7401 \
+//   ./build/examples/elect_server --port 7400 --http-port 7401
 //       --admin on --slow-ms 50 --journal events.jsonl
 //   ./build/examples/elect_server --port 7400 --reactors 4
 //
@@ -21,7 +22,7 @@
 //
 // Durability:
 //
-//   ./build/examples/elect_server --port 7400 --snapshot state.elsn \
+//   ./build/examples/elect_server --port 7400 --snapshot state.elsn
 //       --snapshot-interval-ms 1000
 //       record the command log and dump a binary snapshot of the
 //       registry to state.elsn (write-to-temp + rename) every interval;
@@ -35,8 +36,8 @@
 //
 // Cluster mode (replicated, epoch-fenced failover — see src/repl/):
 //
-//   ./build/examples/elect_server \
-//       --cluster 127.0.0.1:7400,127.0.0.1:7410,127.0.0.1:7420 \
+//   ./build/examples/elect_server
+//       --cluster 127.0.0.1:7400,127.0.0.1:7410,127.0.0.1:7420
 //       --cluster-self 0 --cluster-dir /tmp/elect-node0
 //       one member of a replicated election cluster. The listen port
 //       comes from the member's own endpoint in the --cluster list

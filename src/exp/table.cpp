@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 #include <sstream>
 
 #include "common/check.hpp"
+#include "obs/series.hpp"
 
 namespace elect::exp {
 
@@ -84,25 +84,7 @@ void print_json_string(std::ostream& out, const std::string& s) {
 
 std::string json_escape(const std::string& s) {
   std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned char>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
+  obs::json_escape_into(out, s);
   return out;
 }
 

@@ -16,11 +16,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 #include <utility>
 
 #include "common/check.hpp"
-#include "obs/prom.hpp"
 #include "obs/trace.hpp"
 
 namespace elect::net {
@@ -108,51 +106,21 @@ class serve_trace {
   std::uint64_t start_;
 };
 
-void json_escape_into(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 /// One key_inspection as the JSON object the admin ops return.
 /// lease_remaining_ms is null for a non-expiring (or absent) lease.
 std::string inspection_json(const svc::key_inspection& k) {
-  std::string out;
-  out += "{\"key\":\"";
-  json_escape_into(out, k.key);
-  out += "\",\"epoch\":";
-  out += std::to_string(k.entry.epoch);
-  out += ",\"leader\":";
-  out += std::to_string(k.leader);
-  out += ",\"mode\":\"";
-  out.append(k.mode.data(), k.mode.size());
-  out += "\",\"lease_remaining_ms\":";
   const std::uint64_t left = lease_remaining_ms(k.lease_deadline);
-  if (k.leader < 0 || left == wire::lease_forever) {
-    out += "null";
-  } else {
-    out += std::to_string(left);
-  }
-  out += ",\"attempts_this_epoch\":";
-  out += std::to_string(k.attempts_this_epoch);
-  out += ",\"last_epoch_attempts\":";
-  out += std::to_string(k.last_epoch_attempts);
-  out += '}';
-  return out;
+  obs::series_writer w(obs::series_writer::format::json);
+  w.text("key", k.key);
+  w.splice("epoch", std::to_string(k.entry.epoch));
+  w.splice("leader", std::to_string(k.leader));
+  w.text("mode", k.mode);
+  w.splice("lease_remaining_ms", k.leader < 0 || left == wire::lease_forever
+                                     ? "null"
+                                     : std::to_string(left));
+  w.splice("attempts_this_epoch", std::to_string(k.attempts_this_epoch));
+  w.splice("last_epoch_attempts", std::to_string(k.last_epoch_attempts));
+  return w.take();
 }
 
 /// Persist a snapshot via write-to-temp + rename, so a crash mid-write
@@ -176,101 +144,6 @@ bool write_snapshot_file(const std::string& path,
     return false;
   }
   return true;
-}
-
-/// The network front-end's own Prometheus series, appended after the
-/// service-level series obs::render_prometheus produces.
-void render_net_prometheus(std::string& out, const net_report& r) {
-  obs::prom_gauge(out, "elect_net_connections_active",
-                  "Open client connections.", r.connections_active);
-  obs::prom_counter(out, "elect_net_connections_accepted_total",
-                    "Connections accepted.", r.connections_accepted);
-  obs::prom_counter(out, "elect_net_connections_refused_total",
-                    "Connections refused at the cap.", r.connections_refused);
-  obs::prom_counter(out, "elect_net_requests_total", "Wire requests decoded.",
-                    r.requests);
-  obs::prom_counter(out, "elect_net_frames_in_total", "Frames received.",
-                    r.frames_in);
-  obs::prom_counter(out, "elect_net_frames_out_total", "Frames sent.",
-                    r.frames_out);
-  obs::prom_counter(out, "elect_net_bytes_in_total", "Bytes received.",
-                    r.bytes_in);
-  obs::prom_counter(out, "elect_net_bytes_out_total", "Bytes sent.",
-                    r.bytes_out);
-  obs::prom_counter(out, "elect_net_busy_rejections_total",
-                    "Requests answered busy at the blocking-op cap.",
-                    r.busy_rejections);
-  obs::prom_counter(out, "elect_net_protocol_errors_total",
-                    "Connections killed for protocol violations.",
-                    r.protocol_errors);
-  obs::prom_counter(out, "elect_net_disconnect_reclaims_total",
-                    "Leases reclaimed because their connection died.",
-                    r.disconnect_reclaims);
-  obs::prom_counter(out, "elect_net_events_pushed_total",
-                    "Watch event frames delivered.", r.events_pushed);
-  obs::prom_counter(out, "elect_net_events_dropped_total",
-                    "Watch event frames dropped (dead or wedged consumer).",
-                    r.events_dropped);
-  obs::prom_gauge(out, "elect_net_reactors", "Configured reactor count.",
-                  r.reactors);
-  obs::prom_counter(out, "elect_net_writev_total",
-                    "writev flush calls across all reactors.",
-                    r.writev_calls);
-  obs::prom_counter(out, "elect_net_frames_flushed_total",
-                    "Frames flushed via writev across all reactors.",
-                    r.frames_flushed);
-  obs::prom_counter(out, "elect_net_wakeups_total",
-                    "Cross-thread eventfd wakeups across all reactors.",
-                    r.reactor_wakeups);
-
-  // Per-reactor slices. The labels are the operational interface for
-  // spotting a hot or idle reactor; frames_flushed / writev is the
-  // coalesce ratio, per reactor.
-  obs::prom_type_line(out, "elect_net_reactor_connections",
-                      "Open connections pinned to each reactor.", "gauge");
-  for (const auto& s : r.per_reactor) {
-    obs::prom_labeled(out, "elect_net_reactor_connections", "reactor",
-                      std::to_string(s.index), s.connections);
-  }
-  obs::prom_type_line(out, "elect_net_reactor_accepted_total",
-                      "Connections accepted (or adopted) per reactor.",
-                      "counter");
-  for (const auto& s : r.per_reactor) {
-    obs::prom_labeled(out, "elect_net_reactor_accepted_total", "reactor",
-                      std::to_string(s.index), s.accepted);
-  }
-  obs::prom_type_line(out, "elect_net_reactor_wakeups_total",
-                      "Eventfd wakeups per reactor.", "counter");
-  for (const auto& s : r.per_reactor) {
-    obs::prom_labeled(out, "elect_net_reactor_wakeups_total", "reactor",
-                      std::to_string(s.index), s.wakeups);
-  }
-  obs::prom_type_line(out, "elect_net_reactor_writev_total",
-                      "writev flush calls per reactor.", "counter");
-  for (const auto& s : r.per_reactor) {
-    obs::prom_labeled(out, "elect_net_reactor_writev_total", "reactor",
-                      std::to_string(s.index), s.writev_calls);
-  }
-  obs::prom_type_line(out, "elect_net_reactor_frames_flushed_total",
-                      "Frames flushed per reactor.", "counter");
-  for (const auto& s : r.per_reactor) {
-    obs::prom_labeled(out, "elect_net_reactor_frames_flushed_total",
-                      "reactor", std::to_string(s.index), s.frames_flushed);
-  }
-  obs::prom_type_line(out, "elect_net_reactor_drain_batches_total",
-                      "Flush passes that wrote at least one frame, per "
-                      "reactor.",
-                      "counter");
-  for (const auto& s : r.per_reactor) {
-    obs::prom_labeled(out, "elect_net_reactor_drain_batches_total",
-                      "reactor", std::to_string(s.index), s.drain_batches);
-  }
-  obs::prom_type_line(out, "elect_net_reactor_requests_total",
-                      "Requests decoded per reactor.", "counter");
-  for (const auto& s : r.per_reactor) {
-    obs::prom_labeled(out, "elect_net_reactor_requests_total", "reactor",
-                      std::to_string(s.index), s.requests);
-  }
 }
 
 /// Resolve the reactor count: explicit config wins, then the
@@ -324,39 +197,69 @@ int make_listener(const std::string& address, std::uint16_t port,
 
 }  // namespace
 
+void net_report::describe(obs::series_writer& w) const {
+  w.counter("connections_accepted", "Connections accepted.",
+            connections_accepted);
+  w.gauge("connections_active", "Open client connections.",
+          connections_active);
+  w.counter("connections_refused", "Connections refused at the cap.",
+            connections_refused);
+  w.counter("frames_in", "Frames received.", frames_in);
+  w.counter("frames_out", "Frames sent.", frames_out);
+  w.counter("bytes_in", "Bytes received.", bytes_in);
+  w.counter("bytes_out", "Bytes sent.", bytes_out);
+  w.counter("requests", "Wire requests decoded.", requests);
+  w.counter("dispatch_batches",
+            "Read passes that dispatched at least one request.",
+            dispatch_batches);
+  w.counter("backpressure_pauses",
+            "Times a connection stopped being read at its in-flight cap.",
+            backpressure_pauses);
+  w.counter("busy_rejections", "Requests answered busy at the waiter cap.",
+            busy_rejections);
+  w.counter("protocol_errors", "Connections killed for protocol violations.",
+            protocol_errors);
+  w.counter("disconnect_reclaims", "Leases reclaimed from dead connections.",
+            disconnect_reclaims);
+  w.counter("watch_subscriptions", "Watch subscriptions accepted.",
+            watch_subscriptions);
+  w.counter("events_pushed", "Watch event frames delivered.", events_pushed);
+  w.counter("events_dropped", "Watch event frames dropped.", events_dropped);
+  w.gauge("reactors", "Configured reactor count.", reactors);
+  w.flag("reuseport", "Every reactor accepts on its own SO_REUSEPORT socket.",
+         reuseport);
+  w.counter("writev_calls", "writev flush calls.", writev_calls);
+  w.counter("frames_flushed", "Frames flushed via writev.", frames_flushed);
+  w.counter("reactor_wakeups", "Cross-thread eventfd wakeups.",
+            reactor_wakeups);
+  w.rows(
+      {.key = "per_reactor", .label = "reactor", .id_key = "index"},
+      per_reactor.size(),
+      [&](std::size_t i) { return std::to_string(per_reactor[i].index); },
+      [&](std::size_t i) {
+        const reactor_stat& s = per_reactor[i];
+        w.gauge("connections", "Open connections per reactor.",
+                s.connections);
+        w.counter("accepted", "Connections accepted or adopted per reactor.",
+                  s.accepted);
+        w.counter("wakeups", "Eventfd wakeups per reactor.", s.wakeups);
+        w.counter("writev_calls", "writev flush calls per reactor.",
+                  s.writev_calls);
+        w.counter("frames_flushed", "Frames flushed per reactor.",
+                  s.frames_flushed);
+        w.counter("drain_batches",
+                  "Output flush passes that wrote at least one frame, per "
+                  "reactor; frames_flushed / drain_batches is frames per "
+                  "pass.",
+                  s.drain_batches);
+        w.counter("requests", "Requests decoded per reactor.", s.requests);
+      });
+}
+
 std::string net_report::to_json() const {
-  std::ostringstream out;
-  out << "{\"connections_accepted\":" << connections_accepted
-      << ",\"connections_active\":" << connections_active
-      << ",\"connections_refused\":" << connections_refused
-      << ",\"frames_in\":" << frames_in << ",\"frames_out\":" << frames_out
-      << ",\"bytes_in\":" << bytes_in << ",\"bytes_out\":" << bytes_out
-      << ",\"requests\":" << requests
-      << ",\"dispatch_batches\":" << dispatch_batches
-      << ",\"backpressure_pauses\":" << backpressure_pauses
-      << ",\"busy_rejections\":" << busy_rejections
-      << ",\"protocol_errors\":" << protocol_errors
-      << ",\"disconnect_reclaims\":" << disconnect_reclaims
-      << ",\"watch_subscriptions\":" << watch_subscriptions
-      << ",\"events_pushed\":" << events_pushed
-      << ",\"events_dropped\":" << events_dropped
-      << ",\"reactors\":" << reactors
-      << ",\"reuseport\":" << (reuseport ? "true" : "false")
-      << ",\"writev_calls\":" << writev_calls
-      << ",\"frames_flushed\":" << frames_flushed
-      << ",\"reactor_wakeups\":" << reactor_wakeups << ",\"per_reactor\":[";
-  for (std::size_t i = 0; i < per_reactor.size(); ++i) {
-    const reactor_stat& s = per_reactor[i];
-    if (i != 0) out << ',';
-    out << "{\"index\":" << s.index << ",\"connections\":" << s.connections
-        << ",\"accepted\":" << s.accepted << ",\"wakeups\":" << s.wakeups
-        << ",\"writev_calls\":" << s.writev_calls
-        << ",\"frames_flushed\":" << s.frames_flushed
-        << ",\"drain_batches\":" << s.drain_batches
-        << ",\"requests\":" << s.requests << "}";
-  }
-  out << "]}";
-  return out.str();
+  obs::series_writer w(obs::series_writer::format::json);
+  describe(w);
+  return w.take();
 }
 
 server::connection::~connection() {
@@ -1008,9 +911,13 @@ void server::serve(const pending& p) {
       // Answered by every member, primary or not, and NOT gated by
       // enable_admin: a client or operator locating the primary must
       // not need force-release rights to ask who leads.
-      r.body = config_.cluster.status_json
-                   ? config_.cluster.status_json()
-                   : std::string("{\"role\":\"standalone\"}");
+      if (config_.cluster.status_json) {
+        r.body = config_.cluster.status_json();
+      } else {
+        obs::series_writer w(obs::series_writer::format::json);
+        w.text("role", "standalone");
+        r.body = w.take();
+      }
       r.result = wire::status::ok;
       break;
     case wire::op::admin_list:
@@ -1223,20 +1130,14 @@ void server::serve_admin(const pending& p, wire::response& r) {
         write_failed = !written;
       }
       const cmd::log_stats stats = service_.registry().log_stats();
-      std::string body = "{\"recording\":";
-      body += stats.recording ? "true" : "false";
-      body += ",\"recorded\":";
-      body += std::to_string(stats.recorded);
-      body += ",\"retained\":";
-      body += std::to_string(stats.retained);
-      body += ",\"bytes\":";
-      body += std::to_string(snap.size());
-      body += ",\"path\":\"";
-      json_escape_into(body, config_.snapshot_path);
-      body += "\",\"written\":";
-      body += written ? "true" : "false";
-      body += "}";
-      r.body = std::move(body);
+      obs::series_writer w(obs::series_writer::format::json);
+      w.splice("recording", stats.recording ? "true" : "false");
+      w.splice("recorded", std::to_string(stats.recorded));
+      w.splice("retained", std::to_string(stats.retained));
+      w.splice("bytes", std::to_string(snap.size()));
+      w.text("path", config_.snapshot_path);
+      w.splice("written", written ? "true" : "false");
+      r.body = w.take();
       // A snapshot the operator asked to persist but could not be
       // written is a failure, not a success with a footnote.
       r.result =
@@ -1257,22 +1158,20 @@ void server::serve_admin(const pending& p, wire::response& r) {
       const std::vector<cmd::command> all = registry.collect_commands();
       const std::uint64_t offset =
           std::min<std::uint64_t>(p.req.epoch, all.size());
-      std::string body = "{\"total\":";
-      body += std::to_string(all.size());
-      body += ",\"offset\":";
-      body += std::to_string(offset);
-      body += ",\"commands\":[";
+      std::string commands = "[";
       std::uint64_t next = offset;
-      bool first = true;
       for (; next < all.size(); ++next) {
         const std::string one = cmd::to_json(all[next]);
-        if (body.size() + one.size() > wire::max_frame_bytes / 2) break;
-        if (!first) body += ',';
-        body += one;
-        first = false;
+        if (commands.size() + one.size() > wire::max_frame_bytes / 2) break;
+        if (next > offset) commands += ',';
+        commands += one;
       }
-      body += "]}";
-      r.body = std::move(body);
+      commands += ']';
+      obs::series_writer w(obs::series_writer::format::json);
+      w.splice("total", std::to_string(all.size()));
+      w.splice("offset", std::to_string(offset));
+      w.splice("commands", commands);
+      r.body = w.take();
       r.epoch = next;
       r.result = wire::status::ok;
       break;
@@ -1854,8 +1753,11 @@ void server::http_respond(int fd, const std::string& buffered) {
     content_type = "text/plain; charset=utf-8";
     body = "method not allowed\n";
   } else if (path == "/metrics") {
-    body = obs::render_prometheus(service_.report());
-    render_net_prometheus(body, report());
+    const net_report net = report();
+    obs::series_writer w(obs::series_writer::format::prometheus);
+    service_.report().describe(w);
+    w.section("net", [&] { net.describe(w); });
+    body = w.take();
     if (config_.cluster.prom_text) body += config_.cluster.prom_text();
   } else if (path == "/report") {
     content_type = "application/json";

@@ -71,6 +71,7 @@
 #include <vector>
 
 #include "net/wire.hpp"
+#include "obs/series.hpp"
 #include "svc/service.hpp"
 
 namespace elect::net {
@@ -136,7 +137,7 @@ struct server_config {
   bool enable_admin = false;
   /// Where admin_snapshot persists the registry snapshot. Empty keeps
   /// the op in-memory only (it still answers with command-log stats).
-  std::string snapshot_path;
+  std::string snapshot_path{};
   /// Reactor (event loop) count. 0 = auto: the ELECT_REACTORS
   /// environment variable if set, else std::thread::hardware_concurrency
   /// clamped to [1, 16]. Explicit values are clamped to [1, 64].
@@ -150,15 +151,14 @@ struct server_config {
   /// Past it the connection is closed as a dead consumer.
   std::size_t max_outbox_bytes = 8u << 20;
   /// Replicated-cluster hooks; default-empty = standalone server.
-  cluster_hooks cluster;
+  cluster_hooks cluster{};
 };
 
 /// Point-in-time counters for the network edge.
 struct net_report {
   /// Per-reactor slice of the edge: connection placement, wakeups, and
-  /// the writev coalescing that reactor achieved. frames_flushed /
-  /// writev_calls is the realized coalesce ratio; requests /
-  /// drain_batches the realized read-batching factor.
+  /// the output flushing that reactor did. What each field counts is
+  /// its help text in describe() (server.cpp).
   struct reactor_stat {
     int index = 0;
     std::uint64_t connections = 0;
@@ -206,6 +206,9 @@ struct net_report {
   std::uint64_t reactor_wakeups = 0;
   std::vector<reactor_stat> per_reactor;
 
+  /// Declares every series once (obs/series.hpp): the report's "net"
+  /// section and the elect_net_* Prometheus series render from it.
+  void describe(obs::series_writer& w) const;
   [[nodiscard]] std::string to_json() const;
 };
 

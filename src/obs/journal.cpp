@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "obs/series.hpp"
+
 namespace elect::obs {
 namespace {
 
@@ -13,26 +15,6 @@ std::uint64_t wall_ms() {
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::system_clock::now().time_since_epoch())
           .count());
-}
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -60,13 +42,13 @@ std::string event_record::to_json() const {
   const std::string_view name = to_string(kind);
   out.append(name.data(), name.size());
   out += "\",\"key\":\"";
-  append_escaped(out, key);
+  json_escape_into(out, key);
   out += "\",\"epoch\":";
   out += std::to_string(epoch);
   out += ",\"holder\":";
   out += std::to_string(holder);
   out += ",\"cause\":\"";
-  append_escaped(out, cause);
+  json_escape_into(out, cause);
   out += "\"}";
   return out;
 }

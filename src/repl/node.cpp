@@ -4,9 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
-#include <sstream>
 #include <utility>
 
 #include "common/check.hpp"
@@ -946,121 +944,85 @@ net::wire::response node::handle_snapshot(const net::wire::request& r) {
 
 // --- Reporting ----------------------------------------------------------
 
+void node::describe_locked(obs::series_writer& w) const {
+  std::vector<std::string> members;
+  for (const endpoint& m : config_.members) members.push_back(m.to_string());
+  const bool leader_known =
+      leader_ >= 0 && leader_ < static_cast<int>(members.size());
+  w.text("role", to_string(role_));
+  w.flag("is_primary", "This member is the primary.", role_ == role::primary);
+  w.gauge("id", "This member's index in the member list.", config_.self);
+  w.gauge("term", "Current cluster term.", term_);
+  w.gauge("leader_id", "Known primary's member index, -1 if none.", leader_);
+  w.text("leader",
+         leader_known ? members[static_cast<std::size_t>(leader_)] : "");
+  w.text("self", members[static_cast<std::size_t>(config_.self)]);
+  w.gauge("quorum", "Members needed to commit or elect.", config_.quorum());
+  w.gauge("commit_index", "Highest quorum-committed log index.",
+          commit_index_);
+  w.gauge("applied_index", "Highest log index applied here.",
+          applied_index_);
+  w.gauge("last_index", "Last log index held.", log_.last_index());
+  w.gauge("last_term", "Term of the last log entry.", log_.last_term());
+  w.gauge("log_entries", "Entries in the replicated log.", log_.size());
+  w.gauge("snapshot_index", "Last log index the log snapshot covers.",
+          log_.snapshot_last_index());
+  w.flag("needs_install", "Registry waits for a snapshot install.",
+         needs_install_);
+  w.texts("members", members);
+  w.rows(
+      {.key = "peers", .label = "peer", .id_key = "member"}, workers_.size(),
+      [&](std::size_t k) { return std::to_string(workers_[k]->member); },
+      [&](std::size_t k) {
+        const peer_worker& p = *workers_[k];
+        w.gauge("match_index", "Highest log index replicated on the peer.",
+                p.match_index);
+        w.gauge("next_index", "Next log index to send the peer.",
+                p.next_index);
+        w.gauge("lag", "Log entries the peer is behind.",
+                log_.last_index() - std::min(p.match_index, log_.last_index()));
+      });
+  const std::vector<std::uint64_t> buckets = commit_latency_.bucket_counts();
+  w.histogram("commit_latency", "Commit-gate wait (drain to quorum commit).",
+              {.count = commit_latency_.count(),
+               .sum_us = static_cast<double>(commit_latency_.sum_ns()) / 1e3,
+               .buckets = buckets,
+               .p50_ms = commit_latency_.quantile(0.50) / 1e6,
+               .p99_ms = commit_latency_.quantile(0.99) / 1e6});
+  w.section("counters", [&] {
+    const node_counters& c = counters_;
+    w.counter("elections_started", "Elections started.", c.elections_started);
+    w.counter("terms_won", "Terms won.", c.terms_won);
+    w.counter("step_downs", "Primary step-downs.", c.step_downs);
+    w.counter("appends_sent", "peer_append calls sent.", c.appends_sent);
+    w.counter("append_failures", "peer_append calls failed.",
+              c.append_failures);
+    w.counter("heartbeats_sent", "Heartbeat appends sent.",
+              c.heartbeats_sent);
+    w.counter("entries_replicated", "Log entries shipped to followers.",
+              c.entries_replicated);
+    w.counter("snapshots_sent", "Snapshot installs sent.", c.snapshots_sent);
+    w.counter("snapshots_installed", "Snapshot installs applied here.",
+              c.snapshots_installed);
+    w.counter("compactions", "Log compactions into a snapshot.",
+              c.compactions);
+    w.counter("commit_timeouts", "Commit-gate waits that gave up.",
+              c.commit_timeouts);
+  });
+}
+
 std::string node::status_json() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream out;
-  out << "{";
-  out << "\"role\":\"" << to_string(role_) << "\",";
-  out << "\"id\":" << config_.self << ",";
-  out << "\"term\":" << term_ << ",";
-  out << "\"leader_id\":" << leader_ << ",";
-  out << "\"leader\":\""
-      << (leader_ >= 0 && leader_ < static_cast<int>(config_.members.size())
-              ? config_.members[static_cast<std::size_t>(leader_)].to_string()
-              : std::string())
-      << "\",";
-  out << "\"self\":\""
-      << config_.members[static_cast<std::size_t>(config_.self)].to_string()
-      << "\",";
-  out << "\"quorum\":" << config_.quorum() << ",";
-  out << "\"commit_index\":" << commit_index_ << ",";
-  out << "\"applied_index\":" << applied_index_ << ",";
-  out << "\"last_index\":" << log_.last_index() << ",";
-  out << "\"last_term\":" << log_.last_term() << ",";
-  out << "\"log_entries\":" << log_.size() << ",";
-  out << "\"snapshot_index\":" << log_.snapshot_last_index() << ",";
-  out << "\"needs_install\":" << (needs_install_ ? "true" : "false") << ",";
-  out << "\"members\":[";
-  for (std::size_t m = 0; m < config_.members.size(); ++m) {
-    if (m > 0) out << ",";
-    out << "\"" << config_.members[m].to_string() << "\"";
-  }
-  out << "],";
-  out << "\"peers\":[";
-  for (std::size_t k = 0; k < workers_.size(); ++k) {
-    if (k > 0) out << ",";
-    out << "{\"member\":" << workers_[k]->member
-        << ",\"match_index\":" << workers_[k]->match_index
-        << ",\"next_index\":" << workers_[k]->next_index << ",\"lag\":"
-        << (log_.last_index() > workers_[k]->match_index
-                ? log_.last_index() - workers_[k]->match_index
-                : 0)
-        << "}";
-  }
-  out << "],";
-  out << "\"commit_latency\":{\"count\":" << commit_latency_.count()
-      << ",\"p50_ms\":" << commit_latency_.quantile(0.50) / 1e6
-      << ",\"p99_ms\":" << commit_latency_.quantile(0.99) / 1e6 << "},";
-  out << "\"counters\":{"
-      << "\"elections_started\":" << counters_.elections_started
-      << ",\"terms_won\":" << counters_.terms_won
-      << ",\"step_downs\":" << counters_.step_downs
-      << ",\"appends_sent\":" << counters_.appends_sent
-      << ",\"append_failures\":" << counters_.append_failures
-      << ",\"heartbeats_sent\":" << counters_.heartbeats_sent
-      << ",\"entries_replicated\":" << counters_.entries_replicated
-      << ",\"snapshots_sent\":" << counters_.snapshots_sent
-      << ",\"snapshots_installed\":" << counters_.snapshots_installed
-      << ",\"compactions\":" << counters_.compactions
-      << ",\"commit_timeouts\":" << counters_.commit_timeouts << "}";
-  out << "}";
-  return out.str();
+  obs::series_writer w(obs::series_writer::format::json);
+  describe_locked(w);
+  return w.take();
 }
 
 std::string node::prom_text() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream out;
-  out << "# TYPE elect_repl_is_primary gauge\n"
-      << "elect_repl_is_primary " << (role_ == role::primary ? 1 : 0) << "\n";
-  out << "# TYPE elect_repl_term gauge\n"
-      << "elect_repl_term " << term_ << "\n";
-  out << "# TYPE elect_repl_commit_index gauge\n"
-      << "elect_repl_commit_index " << commit_index_ << "\n";
-  out << "# TYPE elect_repl_last_index gauge\n"
-      << "elect_repl_last_index " << log_.last_index() << "\n";
-  out << "# TYPE elect_repl_log_entries gauge\n"
-      << "elect_repl_log_entries " << log_.size() << "\n";
-  out << "# TYPE elect_repl_replication_lag gauge\n";
-  for (const auto& w : workers_) {
-    const std::uint64_t lag = log_.last_index() > w->match_index
-                                  ? log_.last_index() - w->match_index
-                                  : 0;
-    out << "elect_repl_replication_lag{peer=\"" << w->member << "\"} " << lag
-        << "\n";
-  }
-  out << "# TYPE elect_repl_elections_started_total counter\n"
-      << "elect_repl_elections_started_total " << counters_.elections_started
-      << "\n";
-  out << "# TYPE elect_repl_terms_won_total counter\n"
-      << "elect_repl_terms_won_total " << counters_.terms_won << "\n";
-  out << "# TYPE elect_repl_step_downs_total counter\n"
-      << "elect_repl_step_downs_total " << counters_.step_downs << "\n";
-  out << "# TYPE elect_repl_appends_sent_total counter\n"
-      << "elect_repl_appends_sent_total " << counters_.appends_sent << "\n";
-  out << "# TYPE elect_repl_append_failures_total counter\n"
-      << "elect_repl_append_failures_total " << counters_.append_failures
-      << "\n";
-  out << "# TYPE elect_repl_heartbeats_sent_total counter\n"
-      << "elect_repl_heartbeats_sent_total " << counters_.heartbeats_sent
-      << "\n";
-  out << "# TYPE elect_repl_entries_replicated_total counter\n"
-      << "elect_repl_entries_replicated_total "
-      << counters_.entries_replicated << "\n";
-  out << "# TYPE elect_repl_snapshots_sent_total counter\n"
-      << "elect_repl_snapshots_sent_total " << counters_.snapshots_sent
-      << "\n";
-  out << "# TYPE elect_repl_snapshots_installed_total counter\n"
-      << "elect_repl_snapshots_installed_total "
-      << counters_.snapshots_installed << "\n";
-  out << "# TYPE elect_repl_commit_timeouts_total counter\n"
-      << "elect_repl_commit_timeouts_total " << counters_.commit_timeouts
-      << "\n";
-  out << "# TYPE elect_repl_commit_latency_seconds summary\n"
-      << "elect_repl_commit_latency_seconds_count " << commit_latency_.count()
-      << "\n"
-      << "elect_repl_commit_latency_seconds_sum "
-      << static_cast<double>(commit_latency_.sum_ns()) / 1e9 << "\n";
-  return out.str();
+  obs::series_writer w(obs::series_writer::format::prometheus);
+  w.section("repl", [&] { describe_locked(w); });
+  return w.take();
 }
 
 }  // namespace elect::repl

@@ -58,6 +58,7 @@
 #include <vector>
 
 #include "net/wire.hpp"
+#include "obs/series.hpp"
 #include "repl/config.hpp"
 #include "repl/log.hpp"
 #include "repl/peer.hpp"
@@ -134,7 +135,8 @@ class node {
   /// the service report's "repl" section).
   [[nodiscard]] std::string status_json() const;
 
-  /// Prometheus rendering of role/term/commit/lag/counters.
+  /// The same status as elect_repl_* Prometheus series (string fields
+  /// such as role and member endpoints are JSON-only).
   [[nodiscard]] std::string prom_text() const;
 
   // Test/bench introspection.
@@ -168,6 +170,9 @@ class node {
   void run_election();
 
   // All *_locked members require mu_.
+  /// Declares the status series once (obs/series.hpp): status_json()
+  /// and prom_text() both render from it.
+  void describe_locked(obs::series_writer& w) const;
   void drain_locked();
   void advance_commit_locked();
   void maybe_compact_locked();

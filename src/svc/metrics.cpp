@@ -1,7 +1,5 @@
 #include "svc/metrics.hpp"
 
-#include <sstream>
-
 namespace elect::svc {
 
 service_report service_metrics::snapshot() const {
@@ -38,6 +36,10 @@ service_report service_metrics::snapshot() const {
       fast_path_conflicts_.load(std::memory_order_relaxed);
   report.fast_path.fallbacks =
       fast_path_fallbacks_.load(std::memory_order_relaxed);
+  report.fast_path.acquires =
+      report.strategies[static_cast<std::size_t>(
+                            election::strategy_kind::adaptive)]
+          .acquires;
   report.short_circuit_losses =
       short_circuit_losses_.load(std::memory_order_relaxed);
   report.acquire_p50_ms = acquire_latency_.quantile(0.50) / 1e6;
@@ -50,69 +52,118 @@ service_report service_metrics::snapshot() const {
   return report;
 }
 
+void service_report::describe(obs::series_writer& w) const {
+  w.counter("acquires", "Acquire attempts served.", acquires);
+  w.counter("wins", "Acquire attempts that won their epoch.", wins);
+  w.counter("releases", "Voluntary releases.", releases);
+  w.counter("expirations", "Leases ended by the expiry sweeper.",
+            expirations);
+  w.counter("renewals", "Successful lease renewals.", renewals);
+  w.counter("stale_fences", "Lease ops fenced as stale (zombies).",
+            stale_fences);
+  w.counter("forced_releases", "Epochs ended by admin force-release.",
+            forced_releases);
+  w.counter("rejected_acquires", "Acquires turned away by shutdown.",
+            rejected_acquires);
+  w.rows(
+      {.key = "strategies", .label = "strategy"}, strategies.size(),
+      [](std::size_t k) {
+        return std::string(
+            election::to_string(static_cast<election::strategy_kind>(k)));
+      },
+      [&](std::size_t k) {
+        w.counter("acquires", "Acquire attempts per election strategy.",
+                  strategies[k].acquires);
+        w.counter("wins", "Epoch wins per election strategy.",
+                  strategies[k].wins);
+      });
+  w.section("fast_path", [&] {
+    w.counter("hits", "Epochs granted by the adaptive CAS fast path.",
+              fast_path.hits);
+    w.counter("conflicts", "Fast-path attempts that lost outright.",
+              fast_path.conflicts);
+    w.counter("fallbacks", "Fast-path attempts that ran the protocol.",
+              fast_path.fallbacks);
+    w.gauge("hit_rate", "Fast-path hits per adaptive-strategy acquire.",
+            fast_path.hit_rate());
+  });
+  w.counter("short_circuit_losses",
+            "Protocol-path acquires lost before running the protocol.",
+            short_circuit_losses);
+  w.gauge("acquire_p50_ms", "Median acquire latency (ms).", acquire_p50_ms);
+  w.gauge("acquire_p99_ms", "p99 acquire latency (ms).", acquire_p99_ms);
+  w.histogram("acquire_latency", "Acquire latency (submit to decision).",
+              {.count = acquire_latency_count,
+               .sum_us = acquire_latency_sum_us,
+               .buckets = acquire_latency_buckets,
+               .p50_ms = acquire_p50_ms,
+               .p99_ms = acquire_p99_ms});
+  std::uint64_t keys = 0;
+  for (const shard_report& shard : shards) keys += shard.keys;
+  w.gauge("keys", "Registered election keys.", keys);
+  w.gauge("participated_entries", "Participated-map entries in the pool.",
+          participated_entries);
+  w.counter("total_messages", "Protocol messages sent in the node pool.",
+            total_messages);
+  w.counter("mailbox_pushes", "Transport mailbox pushes in the node pool.",
+            mailbox_pushes);
+  w.gauge("messages_per_acquire", "Protocol messages per acquire.",
+          messages_per_acquire);
+  w.gauge("mean_communicate_calls", "Mean communicate calls per node.",
+          mean_communicate_calls);
+  w.gauge("max_communicate_calls", "Most communicate calls by one node.",
+          max_communicate_calls);
+  w.section("watch", [&] {
+    w.gauge("active", "Live watch subscriptions.",
+            watch.active);
+    w.counter("published", "Watch events enqueued.", watch.published);
+    w.counter("delivered", "Watch callbacks completed.", watch.delivered);
+    w.counter("dropped", "Watch events dropped at the queue bound.",
+              watch.dropped);
+  });
+  w.section("trace", [&] {
+    w.counter("minted", "Trace ids minted.", trace.minted);
+    w.counter("spans", "Trace spans recorded.", trace.spans);
+    w.counter("slow_captured", "Slow-request dumps captured.",
+              trace.slow_captured);
+    w.counter("slow_evicted", "Slow-request dumps evicted.",
+              trace.slow_evicted);
+  });
+  w.section("journal", [&] {
+    w.counter("appended", "Events appended to the journal.",
+              journal.appended);
+    w.counter("evicted", "Journal records evicted from the ring.",
+              journal.evicted);
+    w.counter("flushed", "Journal records written to the JSONL sink.",
+              journal.flushed);
+    w.counter("flush_errors", "Journal records the sink failed to take.",
+              journal.flush_errors);
+  });
+  w.splice("net", net_json);
+  w.splice("repl", repl_json);
+  w.rows(
+      {.key = "shards", .label = "shard", .id_key = "index"}, shards.size(),
+      [](std::size_t i) { return std::to_string(i); },
+      [&](std::size_t i) {
+        const shard_report& s = shards[i];
+        w.counter("acquires", "Acquire attempts per shard.", s.acquires);
+        w.counter("wins", "Epoch wins per shard.", s.wins);
+        w.counter("releases", "Voluntary releases per shard.", s.releases);
+        w.counter("expirations", "Lease expiries per shard.", s.expirations);
+        w.counter("renewals", "Lease renewals per shard.", s.renewals);
+        w.counter("stale_fences", "Fenced lease ops per shard.",
+                  s.stale_fences);
+        w.counter("forced_releases", "Admin force-releases per shard.",
+                  s.forced_releases);
+        w.gauge("keys", "Election keys per shard.",
+                s.keys);
+      });
+}
+
 std::string service_report::to_json() const {
-  std::ostringstream out;
-  out << "{";
-  out << "\"acquires\":" << acquires << ",";
-  out << "\"wins\":" << wins << ",";
-  out << "\"releases\":" << releases << ",";
-  out << "\"expirations\":" << expirations << ",";
-  out << "\"renewals\":" << renewals << ",";
-  out << "\"stale_fences\":" << stale_fences << ",";
-  out << "\"forced_releases\":" << forced_releases << ",";
-  out << "\"rejected_acquires\":" << rejected_acquires << ",";
-  out << "\"strategies\":{";
-  for (int k = 0; k < election::strategy_kind_count; ++k) {
-    if (k > 0) out << ",";
-    const strategy_report& sr = strategies[static_cast<std::size_t>(k)];
-    out << "\"" << election::to_string(static_cast<election::strategy_kind>(k))
-        << "\":{\"acquires\":" << sr.acquires << ",\"wins\":" << sr.wins
-        << "}";
-  }
-  out << "},";
-  out << "\"fast_path\":{\"hits\":" << fast_path.hits
-      << ",\"conflicts\":" << fast_path.conflicts
-      << ",\"fallbacks\":" << fast_path.fallbacks
-      << ",\"hit_rate\":" << fast_path.hit_rate() << "},";
-  out << "\"short_circuit_losses\":" << short_circuit_losses << ",";
-  out << "\"acquire_p50_ms\":" << acquire_p50_ms << ",";
-  out << "\"acquire_p99_ms\":" << acquire_p99_ms << ",";
-  out << "\"acquire_latency\":{\"count\":" << acquire_latency_count
-      << ",\"sum_us\":" << acquire_latency_sum_us << "},";
-  out << "\"participated_entries\":" << participated_entries << ",";
-  out << "\"total_messages\":" << total_messages << ",";
-  out << "\"mailbox_pushes\":" << mailbox_pushes << ",";
-  out << "\"messages_per_acquire\":" << messages_per_acquire << ",";
-  out << "\"mean_communicate_calls\":" << mean_communicate_calls << ",";
-  out << "\"max_communicate_calls\":" << max_communicate_calls << ",";
-  out << "\"watch\":{\"active\":" << watch.active
-      << ",\"published\":" << watch.published
-      << ",\"delivered\":" << watch.delivered
-      << ",\"dropped\":" << watch.dropped << "},";
-  out << "\"trace\":{\"minted\":" << trace.minted
-      << ",\"spans\":" << trace.spans
-      << ",\"slow_captured\":" << trace.slow_captured
-      << ",\"slow_evicted\":" << trace.slow_evicted << "},";
-  out << "\"journal\":{\"appended\":" << journal.appended
-      << ",\"evicted\":" << journal.evicted
-      << ",\"flushed\":" << journal.flushed
-      << ",\"flush_errors\":" << journal.flush_errors << "},";
-  if (!net_json.empty()) out << "\"net\":" << net_json << ",";
-  if (!repl_json.empty()) out << "\"repl\":" << repl_json << ",";
-  out << "\"shards\":[";
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    if (i > 0) out << ",";
-    out << "{\"acquires\":" << shards[i].acquires
-        << ",\"wins\":" << shards[i].wins
-        << ",\"releases\":" << shards[i].releases
-        << ",\"expirations\":" << shards[i].expirations
-        << ",\"renewals\":" << shards[i].renewals
-        << ",\"stale_fences\":" << shards[i].stale_fences
-        << ",\"forced_releases\":" << shards[i].forced_releases
-        << ",\"keys\":" << shards[i].keys << "}";
-  }
-  out << "]}";
-  return out.str();
+  obs::series_writer w(obs::series_writer::format::json);
+  describe(w);
+  return w.take();
 }
 
 }  // namespace elect::svc

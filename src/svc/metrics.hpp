@@ -18,6 +18,7 @@
 #include "common/check.hpp"
 #include "election/strategy.hpp"
 #include "obs/journal.hpp"
+#include "obs/series.hpp"
 #include "obs/trace.hpp"
 #include "svc/watch.hpp"
 
@@ -134,13 +135,17 @@ struct fast_path_report {
   /// Fast-path attempts that found a protocol armed and fell back to
   /// the full distributed election.
   std::uint64_t fallbacks = 0;
+  /// Adaptive-strategy acquires, fast or not: a copy of
+  /// strategies[adaptive].acquires so hit_rate() stands alone. A
+  /// contended adaptive acquire makes no fast-path attempt at all, so
+  /// attempts alone would overstate the rate.
+  std::uint64_t acquires = 0;
 
-  /// hits / (hits + conflicts + fallbacks); 0 when no attempts.
+  /// hits / adaptive acquires; 0 when there were none.
   [[nodiscard]] double hit_rate() const noexcept {
-    const std::uint64_t attempts = hits + conflicts + fallbacks;
-    return attempts == 0
+    return acquires == 0
                ? 0.0
-               : static_cast<double>(hits) / static_cast<double>(attempts);
+               : static_cast<double>(hits) / static_cast<double>(acquires);
   }
 };
 
@@ -203,14 +208,16 @@ struct service_report {
   obs::journal_report journal;
   /// Optional pre-serialized JSON object from the layer wrapping the
   /// service (the TCP front-end's per-connection/frame counters —
-  /// net::server::report()). Emitted verbatim as `"net":{...}` when
+  /// net::server::report()). Spliced in verbatim as `"net":{...}` when
   /// non-empty, so one report covers the wire and the elections.
   std::string net_json;
   /// Same contract for the replication layer (elect::repl): the cluster
-  /// node's role/term/commit/lag counters, emitted verbatim as
-  /// `"repl":{...}` when non-empty.
+  /// node's status, spliced in as `"repl":{...}` when non-empty.
   std::string repl_json;
 
+  /// Declares every series of the report once (obs/series.hpp): the
+  /// JSON below and the server's /metrics both render from it.
+  void describe(obs::series_writer& w) const;
   [[nodiscard]] std::string to_json() const;
 };
 

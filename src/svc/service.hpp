@@ -98,7 +98,7 @@ struct service_config {
   /// election/strategy.hpp for the ladder and `adaptive`.
   election::strategy_kind default_strategy = election::strategy_kind::full;
   /// Per-key strategy overrides (exact key match beats the default).
-  std::unordered_map<std::string, election::strategy_kind> key_strategies;
+  std::unordered_map<std::string, election::strategy_kind> key_strategies{};
   /// Traced requests slower than this auto-capture a span dump naming
   /// the stalled phase (obs::maybe_capture_slow). 0 disables. Note the
   /// tracer threshold is process-global; the last service constructed
@@ -110,7 +110,7 @@ struct service_config {
   bool journal_events = false;
   /// Optional JSONL sink for the journal (append-only file); requires
   /// journal_events.
-  std::string journal_path;
+  std::string journal_path{};
   /// In-memory journal ring capacity (and the sink's backlog bound).
   std::size_t journal_capacity = 4096;
   /// Record every registry mutation to the per-shard command log

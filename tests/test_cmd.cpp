@@ -305,7 +305,9 @@ TEST(CmdParity, StrategyBackendMatrixLiveMatchesReplay) {
         }
         EXPECT_EQ(twin->entry.epoch, live.entry.epoch) << live.key;
         EXPECT_EQ(twin->leader, live.leader) << live.key;
-        if (live.leader != -1) EXPECT_EQ(twin->mode, live.mode) << live.key;
+        if (live.leader != -1) {
+          EXPECT_EQ(twin->mode, live.mode) << live.key;
+        }
       }
     }
   }

@@ -313,6 +313,29 @@ TEST(SvcAdaptive, UncontendedAcquiresRideTheFastPath) {
   EXPECT_EQ(report.strategies[idx].wins, static_cast<std::uint64_t>(cycles));
 }
 
+TEST(SvcAdaptive, ContendedAcquiresLowerTheHitRate) {
+  // A contended adaptive acquire makes no fast-path attempt at all, so
+  // the hit rate counts it in its denominator; a rate over fast-path
+  // attempts alone would read 1.0 here.
+  svc::service service({.nodes = 2,
+                        .shards = 2,
+                        .seed = 5,
+                        .default_strategy = strategy_kind::adaptive});
+  auto holder = service.connect();
+  auto rival = service.connect();
+  const auto held = holder.try_acquire("hot");
+  ASSERT_TRUE(held.won);
+  ASSERT_TRUE(held.fast_path);
+  EXPECT_FALSE(rival.try_acquire("hot").won);
+  EXPECT_FALSE(rival.try_acquire("hot").won);
+
+  const auto report = service.report();
+  const auto idx = static_cast<std::size_t>(strategy_kind::adaptive);
+  EXPECT_EQ(report.strategies[idx].acquires, 3u);
+  EXPECT_EQ(report.fast_path.hits, 1u);
+  EXPECT_DOUBLE_EQ(report.fast_path.hit_rate(), 1.0 / 3.0);
+}
+
 TEST(SvcAdaptive, FastPathResultIsMarkedAndLeased) {
   svc::service service({.nodes = 2,
                         .shards = 2,

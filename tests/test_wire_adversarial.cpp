@@ -127,7 +127,9 @@ TEST(WireAdversarial, SplitAtEveryOffsetYieldsTheSameFrames) {
   for (std::size_t split = 0; split <= stream.size(); ++split) {
     frame_reader reader;
     std::size_t frames = 0;
-    if (split > 0) ASSERT_TRUE(reader.feed(stream.data(), split));
+    if (split > 0) {
+      ASSERT_TRUE(reader.feed(stream.data(), split));
+    }
     while (reader.next().has_value()) ++frames;
     // A truncated prefix must never yield a frame the full stream
     // would not: at most the frames wholly contained in the prefix.
